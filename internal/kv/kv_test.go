@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/stm"
 )
@@ -201,6 +202,83 @@ func hammerOps(t *testing.T) int {
 		return 40
 	}
 	return 150
+}
+
+// TestGrowthSignalOnlyOnInsert pins the shard resize signal to
+// inserts: an overwrite cannot change a shard's load factor, so on an
+// over-long chain it must not send Groom into a full-shard recount.
+func TestGrowthSignalOnlyOnInsert(t *testing.T) {
+	var clk fakeClock
+	st := New(stm.New(), WithShards(1), WithBuckets(1), WithClock(clk.now)) // every key on one chain
+	sh := st.shards[0]
+	// run commits fn on the raw engine: Store.Atomically would Groom
+	// the signal away before the test could look at it.
+	run := func(fn func(tx *stm.Tx, now int64) error) {
+		t.Helper()
+		now := st.Now()
+		if err := st.s.Atomically(func(tx *stm.Tx) error { return fn(tx, now) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// expect checks the signal, then consumes it the way a recount
+	// that declines to grow does.
+	expect := func(what string, want bool) {
+		t.Helper()
+		if got := sh.GrowthSignalled(); got != want {
+			t.Fatalf("%s: GrowthSignalled = %v, want %v", what, got, want)
+		}
+		noGrow := func(*stm.Tx, container.Buckets[*entry]) (int, error) { return 0, nil }
+		if _, err := sh.MaybeGrow(st.s, noGrow, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(func(tx *stm.Tx, now int64) error {
+		for i := 0; i <= container.GrowChain; i++ {
+			if err := st.SetTx(tx, now, fmt.Sprintf("k%d", i), strconv.Itoa(i), 0); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	expect("inserts past GrowChain", true)
+
+	run(func(tx *stm.Tx, now int64) error { return st.SetTx(tx, now, "k0", "x", 0) })
+	expect("SET overwrite", false)
+	run(func(tx *stm.Tx, now int64) error {
+		_, err := st.IncrTx(tx, now, "k1", 1)
+		return err
+	})
+	expect("INCR overwrite", false)
+	run(func(tx *stm.Tx, now int64) error { return st.SetTx(tx, now, "new", "x", 0) })
+	expect("SET insert", true)
+
+	run(func(tx *stm.Tx, now int64) error {
+		_, err := st.HSetTx(tx, now, "h", "f", "v")
+		return err
+	})
+	expect("HSET creating a hash", true)
+	run(func(tx *stm.Tx, now int64) error {
+		_, err := st.HSetTx(tx, now, "h", "g", "v")
+		return err
+	})
+	expect("HSET into an existing hash", false)
+
+	// Replacing an expired entry is an overwrite too: the dead entry
+	// was still counted. (Each rebuild drops the chain's other dead
+	// entries, so each case expires its own key.)
+	run(func(tx *stm.Tx, now int64) error { return st.SetTx(tx, now, "tmp1", "x", time.Second) })
+	expect("SET inserting a key with a TTL", true)
+	clk.advance(2 * time.Second)
+	run(func(tx *stm.Tx, now int64) error { return st.SetTx(tx, now, "tmp1", "x", 0) })
+	expect("SET over an expired key", false)
+	run(func(tx *stm.Tx, now int64) error { return st.SetTx(tx, now, "tmp2", "x", time.Second) })
+	expect("SET inserting a key with a TTL", true)
+	clk.advance(2 * time.Second)
+	run(func(tx *stm.Tx, now int64) error {
+		_, err := st.HSetTx(tx, now, "tmp2", "f", "v")
+		return err
+	})
+	expect("HSET over an expired key", false)
 }
 
 // TestStoreResizeUnderMutators races shard resizes against 32

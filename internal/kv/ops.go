@@ -63,33 +63,46 @@ func (st *Store) SetTx(tx *stm.Tx, now int64, key, val string, ttl time.Duration
 
 // putTx writes key=val with an explicit expiry deadline (0 = none) —
 // the single chain-rebuild under Set and Incr. Like Redis SET, it
-// overwrites a container entry wholesale. The rebuilt chain drops
-// entries dead at now in passing — writers reap lazily so Sweep has
-// less to do. A chain left longer than container.GrowChain raises the
-// shard's advisory resize signal (an atomic flag, retry-safe; Groom
-// acts on it).
+// overwrites a container entry wholesale.
 func (st *Store) putTx(tx *stm.Tx, now int64, key, val string, expireAt int64) error {
 	head, bv, err := st.chain(tx, key)
 	if err != nil {
 		return err
 	}
-	rebuilt := &entry{key: key, val: val, expireAt: expireAt}
+	neu := &entry{key: key, val: val, expireAt: expireAt}
+	if err := stm.Write(tx, bv, st.relink(head, neu, now)); err != nil {
+		return err
+	}
+	capture(tx, wal.Op{Key: key, Val: val, ExpireAt: expireAt})
+	return nil
+}
+
+// relink rebuilds the chain at head with neu in place of any entry for
+// its key, dropping entries dead at now in passing — writers reap
+// lazily so Sweep has less to do. An insert that leaves the chain
+// longer than container.GrowChain raises the shard's advisory resize
+// signal (an atomic flag, retry-safe; Groom acts on it); an overwrite,
+// of a live or an expired entry, leaves the shard's entry count and so
+// its load factor unchanged.
+func (st *Store) relink(head, neu *entry, now int64) *entry {
+	rebuilt := neu
+	created := true
 	chain := 1
 	for e := head; e != nil; e = e.next {
-		if e.key == key || e.dead(now) {
+		if e.key == neu.key {
+			created = false
+			continue
+		}
+		if e.dead(now) {
 			continue
 		}
 		rebuilt = e.with(rebuilt)
 		chain++
 	}
-	if chain > container.GrowChain {
-		st.shard(key).SignalGrowth()
+	if created && chain > container.GrowChain {
+		st.shard(neu.key).SignalGrowth()
 	}
-	if err := stm.Write(tx, bv, rebuilt); err != nil {
-		return err
-	}
-	capture(tx, wal.Op{Key: key, Val: val, ExpireAt: expireAt})
-	return nil
+	return rebuilt
 }
 
 // DelTx removes key inside tx at instant now, reporting whether a live

@@ -157,13 +157,22 @@ func (srv *Server) drop(conn net.Conn) {
 // state: queued commands are validated at queue time (a bad command
 // poisons the block, Redis-style), and EXEC replays the queue inside
 // one atomic transaction.
+//
+// Replies are buffered and flushed before the handler blocks: the
+// reader flushes before every read from the connection (see
+// flushReader), so a batch of pipelined commands is answered in one
+// write, and a client that sent a command plus part of the next still
+// gets its reply. On a durable store the handler also flushes before
+// each command that may wait on the disk (a WAL group commit or a
+// SAVE), so finished replies are not held behind its fsync.
 func (srv *Server) handle(conn net.Conn) {
 	defer srv.drop(conn)
 	srv.sm.connections.Inc()
 	srv.sm.clients.Add(1)
 	defer srv.sm.clients.Add(-1)
-	r := resp.NewReader(conn)
 	w := resp.NewWriter(conn)
+	r := resp.NewReader(flushReader{conn: conn, w: w})
+	durable := srv.store.Durable()
 	var (
 		multi bool
 		queue [][]string
@@ -183,9 +192,6 @@ func (srv *Server) handle(conn net.Conn) {
 			// An empty array frame (*0) is a syntactically valid
 			// non-command; answering beats crashing the handler.
 			w.Value(resp.ErrVal("ERR empty command"))
-			if err := w.Flush(); err != nil {
-				return
-			}
 			continue
 		}
 		start := time.Now()
@@ -259,6 +265,9 @@ func (srv *Server) handle(conn net.Conn) {
 			case !srv.store.Durable():
 				reply = resp.ErrVal("ERR persistence is disabled (start the server with -data)")
 			case name == "SAVE":
+				if w.Flush() != nil {
+					return
+				}
 				switch err := srv.store.Save(); {
 				case errors.Is(err, wal.ErrSnapshotInProgress):
 					reply = resp.ErrVal("ERR save already in progress")
@@ -286,6 +295,9 @@ func (srv *Server) handle(conn net.Conn) {
 			default:
 				q := queue
 				multi, queue = false, nil
+				if durable && w.Flush() != nil {
+					return
+				}
 				reply, cost = srv.execBlock(q)
 			}
 		default:
@@ -298,15 +310,33 @@ func (srv *Server) handle(conn net.Conn) {
 				queue = append(queue, append([]string{name}, args...))
 				reply = resp.SimpleVal("QUEUED")
 			} else {
+				if durable && w.Flush() != nil {
+					return
+				}
 				reply, cost = srv.runSingle(name, args)
 			}
 		}
 		srv.observe(name, start, args, reply, cost)
 		w.Value(reply)
-		if err := w.Flush(); err != nil {
-			return
-		}
 	}
+}
+
+// flushReader is the connection as handle's command reader sees it:
+// every read first flushes the replies encoded so far. The buffered
+// reader reads from the connection only when the commands it holds
+// are used up (or end in a partial frame), and that read may block,
+// so replies go out once per batch of pipelined commands and never
+// wait behind a read for more input.
+type flushReader struct {
+	conn net.Conn
+	w    *resp.Writer
+}
+
+func (f flushReader) Read(p []byte) (int, error) {
+	if err := f.w.Flush(); err != nil {
+		return 0, err
+	}
+	return f.conn.Read(p)
 }
 
 // txCost is what one transactional command cost in engine terms:

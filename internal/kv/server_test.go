@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,10 +19,54 @@ import (
 // address and a shutdown func.
 func startServer(t *testing.T, st *Store) (string, func()) {
 	t.Helper()
+	return serveOn(t, st, listen(t))
+}
+
+func listen(t *testing.T) net.Listener {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ln
+}
+
+// startCountingServer is startServer with every accepted connection's
+// Write calls counted: each one is a write syscall the server makes.
+func startCountingServer(t *testing.T, st *Store) (string, *atomic.Int64, func()) {
+	t.Helper()
+	ln := &countingListener{Listener: listen(t)}
+	addr, stop := serveOn(t, st, ln)
+	return addr, &ln.writes, stop
+}
+
+type countingListener struct {
+	net.Listener
+	writes atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{Conn: c, writes: &l.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// serveOn runs a server for st on ln and returns ln's address and a
+// shutdown func.
+func serveOn(t *testing.T, st *Store, ln net.Listener) (string, func()) {
+	t.Helper()
 	srv := NewServer(st)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
@@ -592,5 +637,86 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	}
 	if _, err := c.do("PING"); err == nil {
 		t.Fatal("connection survived server Close")
+	}
+}
+
+// send writes frames to c in one write, as a pipelining client does,
+// and arms a read deadline for the replies.
+func (c *client) send(t *testing.T, frames string) {
+	t.Helper()
+	if _, err := c.conn.Write([]byte(frames)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServerPipelinedBatchOneWrite: a batch of pipelined commands that
+// arrives in one read is answered, in order, by one write. The count
+// is deterministic, so it gates the reply batching directly.
+func TestServerPipelinedBatchOneWrite(t *testing.T) {
+	const depth = 16
+	addr, writes, stop := startCountingServer(t, New(stm.New()))
+	defer stop()
+	c := dialClient(t, addr)
+	defer c.close()
+	c.send(t, strings.Repeat("*2\r\n$4\r\nINCR\r\n$1\r\nn\r\n", depth))
+	for i := int64(1); i <= depth; i++ {
+		v, err := c.r.ReadReply()
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if v.Kind != ':' || v.Int != i {
+			t.Fatalf("reply %d = %+v, want :%d", i, v, i)
+		}
+	}
+	if got := writes.Load(); got != 1 {
+		t.Fatalf("%d pipelined commands took %d server writes, want 1", depth, got)
+	}
+}
+
+// TestServerRepliesBeforePartialFrame: a client that sends a command
+// plus the start of the next, then waits, gets the first reply. A
+// server that flushed only when its read buffer was empty would hold
+// the reply until the rest of the frame came, and both would wait.
+func TestServerRepliesBeforePartialFrame(t *testing.T) {
+	addr, stop := startServer(t, New(stm.New()))
+	defer stop()
+	c := dialClient(t, addr)
+	defer c.close()
+	c.send(t, "PING\r\n*1\r\n$4\r\nPI")
+	if v, err := c.r.ReadReply(); err != nil || v.Str != "PONG" {
+		t.Fatalf("reply before the partial frame = %+v, %v; want +PONG", v, err)
+	}
+	c.send(t, "NG\r\n")
+	if v, err := c.r.ReadReply(); err != nil || v.Str != "PONG" {
+		t.Fatalf("reply to the completed frame = %+v, %v; want +PONG", v, err)
+	}
+}
+
+// TestServerDurableAckNotHeld: on a durable store each write waits for
+// a WAL group commit, so the server sends the replies it has before
+// starting the next one. Two pipelined SETs take two writes, not one:
+// the first ack does not wait behind the second SET's fsync.
+func TestServerDurableAckNotHeld(t *testing.T) {
+	st := New(stm.New())
+	l := openTestWAL(t, t.TempDir())
+	st.AttachWAL(l)
+	addr, writes, stop := startCountingServer(t, st)
+	c := dialClient(t, addr)
+	defer c.close()
+	c.send(t, strings.Repeat("*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n", 2))
+	for i := 0; i < 2; i++ {
+		if v, err := c.r.ReadReply(); err != nil || v.Str != "OK" {
+			t.Fatalf("SET %d = %+v, %v; want +OK", i, v, err)
+		}
+	}
+	if got := writes.Load(); got != 2 {
+		t.Fatalf("two pipelined durable SETs took %d server writes, want 2", got)
+	}
+	stop()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

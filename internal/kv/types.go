@@ -74,9 +74,9 @@ func (st *Store) typedEntry(tx *stm.Tx, now int64, key string, k kind) (*entry, 
 // containerEntry reads key's live entry of kind k, creating an empty
 // container entry when the key is absent or expired — the
 // find-or-create under every typed mutation (HSET, LPUSH, ZADD). The
-// create path rebuilds the bucket chain (dropping dead entries in
-// passing, like putTx); the found path reads it only, so mutations of
-// an existing container never conflict on the chain.
+// create path rebuilds the bucket chain (see relink); the found path
+// reads it only, so mutations of an existing container never conflict
+// on the chain.
 func (st *Store) containerEntry(tx *stm.Tx, now int64, key string, k kind) (*entry, error) {
 	head, bv, err := st.chain(tx, key)
 	if err != nil {
@@ -104,19 +104,7 @@ func (st *Store) containerEntry(tx *stm.Tx, now int64, key string, k kind) (*ent
 	case kindZSet:
 		neu.zset = newNamedZSet("zset(" + key + ")")
 	}
-	rebuilt := neu
-	chain := 1
-	for e := head; e != nil; e = e.next {
-		if e.key == key || e.dead(now) {
-			continue
-		}
-		rebuilt = e.with(rebuilt)
-		chain++
-	}
-	if chain > container.GrowChain {
-		st.shard(key).SignalGrowth()
-	}
-	if err := stm.Write(tx, bv, rebuilt); err != nil {
+	if err := stm.Write(tx, bv, st.relink(head, neu, now)); err != nil {
 		return nil, err
 	}
 	return neu, nil

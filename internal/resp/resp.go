@@ -198,8 +198,24 @@ func (r *Reader) readBulk() (string, error) {
 	if n < 0 || n > MaxBulk {
 		return "", protoErrf("bulk length %d out of range [0,%d]", n, MaxBulk)
 	}
-	buf := make([]byte, n+2)
-	if _, err := io.ReadFull(r.br, buf); err != nil {
+	return r.readBulkBody(int(n))
+}
+
+// readBulkBody reads a bulk string's n payload bytes and their CRLF
+// terminator, the length line already parsed and bounded. A payload
+// that fits the buffer is checked in place and copied once, into the
+// returned string; a larger one goes through a scratch buffer.
+func (r *Reader) readBulkBody(n int) (string, error) {
+	var buf []byte
+	var err error
+	inPlace := n+2 <= r.br.Size()
+	if inPlace {
+		buf, err = r.br.Peek(n + 2)
+	} else {
+		buf = make([]byte, n+2)
+		_, err = io.ReadFull(r.br, buf)
+	}
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
@@ -208,13 +224,19 @@ func (r *Reader) readBulk() (string, error) {
 	if buf[n] != '\r' || buf[n+1] != '\n' {
 		return "", protoErrf("bulk string missing CRLF terminator")
 	}
-	return string(buf[:n]), nil
+	s := string(buf[:n])
+	if inPlace {
+		_, _ = r.br.Discard(n + 2) // cannot fail: Peek returned these bytes
+	}
+	return s, nil
 }
 
-// Writer encodes server replies. Methods buffer; call Flush once per
-// command batch (the request-response pipeline's natural boundary).
-// The first write error sticks and is reported by Flush, so reply
-// sequences need only one check.
+// Writer encodes server replies. Methods buffer, so a server can
+// encode a whole batch of pipelined replies and Flush them in one
+// write; it must Flush before it blocks waiting for more input (or on
+// anything else a client could be waiting behind). The first write
+// error sticks and is reported by Flush, so reply sequences need only
+// one check.
 type Writer struct {
 	bw  *bufio.Writer
 	err error

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // TestReadCommandForms pins the accepted grammar: array frames, inline
@@ -112,6 +113,47 @@ func TestReadCommandOversized(t *testing.T) {
 	r = NewReader(strings.NewReader(fmt.Sprintf("*1\r\n$%d\r\n", MaxBulk+1)))
 	if _, err := r.ReadCommand(); !IsProtoError(err) {
 		t.Fatalf("bulk past limit: err = %v, want ProtoError", err)
+	}
+}
+
+// TestBulkPaths covers both ways a bulk payload is read, for commands
+// and replies alike: checked in place when it fits the reader's
+// buffer, read into a scratch buffer when it does not (100 KiB). Each
+// runs over a one-byte-per-read source too, so payloads straddle reads.
+func TestBulkPaths(t *testing.T) {
+	for _, n := range []int{3, 100 << 10} {
+		payload := strings.Repeat("p", n)
+		body := fmt.Sprintf("$%d\r\n%s", n, payload)
+		for _, oneByte := range []bool{false, true} {
+			reader := func(in string) *Reader {
+				var src io.Reader = strings.NewReader(in)
+				if oneByte {
+					src = iotest.OneByteReader(src)
+				}
+				return NewReader(src)
+			}
+			what := fmt.Sprintf("%d-byte bulk (one byte per read: %v)", n, oneByte)
+			args, err := reader("*1\r\n" + body + "\r\n").ReadCommand()
+			if err != nil || len(args) != 1 || args[0] != payload {
+				t.Fatalf("%s command: %d args, err %v", what, len(args), err)
+			}
+			v, err := reader(body + "\r\n").ReadReply()
+			if err != nil || v.Kind != '$' || v.Str != payload {
+				t.Fatalf("%s reply: kind %q, %d bytes, err %v", what, v.Kind, len(v.Str), err)
+			}
+			if _, err := reader("*1\r\n" + body + "XY").ReadCommand(); !IsProtoError(err) {
+				t.Fatalf("%s command missing CRLF: err = %v, want ProtoError", what, err)
+			}
+			if _, err := reader(body + "XY").ReadReply(); !IsProtoError(err) {
+				t.Fatalf("%s reply missing CRLF: err = %v, want ProtoError", what, err)
+			}
+			if _, err := reader("*1\r\n" + body).ReadCommand(); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("%s command cut before CRLF: err = %v, want io.ErrUnexpectedEOF", what, err)
+			}
+			if _, err := reader(body).ReadReply(); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("%s reply cut before CRLF: err = %v, want io.ErrUnexpectedEOF", what, err)
+			}
+		}
 	}
 }
 
