@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/resp"
@@ -25,14 +24,11 @@ import (
 // critical section is kept to the ring store; rendering the event
 // strings happens outside the lock.
 type AbortLog struct {
-	mu    sync.Mutex
-	ring  []abortEntry
-	total int64 // entries ever recorded; also the next id
+	ringLog[abortEntry]
 }
 
 // abortEntry is one recorded troubled transaction.
 type abortEntry struct {
-	id        int64
 	unix      int64 // wall-clock seconds when the transaction ended
 	label     string
 	committed bool
@@ -53,7 +49,7 @@ func NewAbortLog(size int) *AbortLog {
 	if size < 1 {
 		size = 1
 	}
-	return &AbortLog{ring: make([]abortEntry, size)}
+	return &AbortLog{ringLog: newRingLog[abortEntry](size)}
 }
 
 // TxDone records the transaction if it was troubled: any retry, any
@@ -65,8 +61,7 @@ func (al *AbortLog) TxDone(sum stm.TxSummary, events []stm.TraceEvent) {
 	}
 	// Render outside the lock; the events slice is reused by the
 	// session, so everything kept is copied into fresh strings here.
-	rendered := renderEvents(events)
-	e := abortEntry{
+	al.add(abortEntry{
 		unix:      time.Now().Unix(),
 		label:     sum.Label,
 		committed: sum.Committed,
@@ -74,13 +69,8 @@ func (al *AbortLog) TxDone(sum stm.TxSummary, events []stm.TraceEvent) {
 		attempts:  sum.Attempts,
 		waitNs:    sum.WaitNs,
 		latNs:     sum.LatNs,
-		events:    rendered,
-	}
-	al.mu.Lock()
-	e.id = al.total
-	al.ring[al.total%int64(len(al.ring))] = e
-	al.total++
-	al.mu.Unlock()
+		events:    renderEvents(events),
+	})
 }
 
 // renderEvents formats a trace compactly, one string per event:
@@ -131,42 +121,8 @@ func renderEvents(events []stm.TraceEvent) []string {
 	return out
 }
 
-// get returns up to n entries, newest first (n < 0 means all held).
-func (al *AbortLog) get(n int) []abortEntry {
-	al.mu.Lock()
-	defer al.mu.Unlock()
-	held := al.total
-	if held > int64(len(al.ring)) {
-		held = int64(len(al.ring))
-	}
-	if n >= 0 && int64(n) < held {
-		held = int64(n)
-	}
-	out := make([]abortEntry, 0, held)
-	for i := int64(0); i < held; i++ {
-		out = append(out, al.ring[(al.total-1-i)%int64(len(al.ring))])
-	}
-	return out
-}
-
 // Len reports how many entries the ring currently holds.
-func (al *AbortLog) Len() int64 {
-	al.mu.Lock()
-	defer al.mu.Unlock()
-	if al.total > int64(len(al.ring)) {
-		return int64(len(al.ring))
-	}
-	return al.total
-}
-
-func (al *AbortLog) reset() {
-	al.mu.Lock()
-	al.total = 0
-	for i := range al.ring {
-		al.ring[i] = abortEntry{}
-	}
-	al.mu.Unlock()
-}
+func (al *AbortLog) Len() int64 { return al.len() }
 
 // WithAbortLog hands the server the abort log installed on its store's
 // engine (via stm.WithTracer), so ABORTLOG serves it. Without this
@@ -180,57 +136,21 @@ func WithAbortLog(al *AbortLog) ServerOption {
 	}
 }
 
-// abortlogReply serves ABORTLOG GET [n] | LEN | RESET. Each GET entry
-// is an array:
+// value renders an ABORTLOG GET entry as an array:
 //
 //  1. id            2) unix seconds   3) label ("" unlabelled)
 //  4. committed 0/1 5) cause          6) attempts
 //  7. wait_usec     8) latency_usec   9) array of event strings
-func (srv *Server) abortlogReply(args []string) resp.Value {
-	switch strings.ToUpper(args[0]) {
-	case "GET":
-		n := 10
-		if len(args) == 2 {
-			v, err := strconv.Atoi(args[1])
-			if err != nil {
-				return resp.ErrVal("ERR value is not an integer or out of range")
-			}
-			n = v
-		} else if len(args) > 2 {
-			return resp.ErrVal("ERR wrong number of arguments for 'abortlog|get' command")
-		}
-		entries := srv.abort.get(n)
-		elems := make([]resp.Value, len(entries))
-		for i, e := range entries {
-			evs := make([]resp.Value, len(e.events))
-			for j, s := range e.events {
-				evs[j] = resp.BulkVal(s)
-			}
-			elems[i] = resp.ArrayVal(
-				resp.IntVal(e.id),
-				resp.IntVal(e.unix),
-				resp.BulkVal(e.label),
-				resp.IntVal(int64(boolInt(e.committed))),
-				resp.BulkVal(e.cause.String()),
-				resp.IntVal(e.attempts),
-				resp.IntVal(e.waitNs/1000),
-				resp.IntVal(e.latNs/1000),
-				resp.ArrayVal(evs...),
-			)
-		}
-		return resp.ArrayVal(elems...)
-	case "LEN":
-		if len(args) != 1 {
-			return resp.ErrVal("ERR wrong number of arguments for 'abortlog|len' command")
-		}
-		return resp.IntVal(srv.abort.Len())
-	case "RESET":
-		if len(args) != 1 {
-			return resp.ErrVal("ERR wrong number of arguments for 'abortlog|reset' command")
-		}
-		srv.abort.reset()
-		return resp.SimpleVal("OK")
-	default:
-		return resp.ErrVal(fmt.Sprintf("ERR unknown ABORTLOG subcommand '%s'", args[0]))
-	}
+func (e abortEntry) value(id int64) resp.Value {
+	return resp.ArrayVal(
+		resp.IntVal(id),
+		resp.IntVal(e.unix),
+		resp.BulkVal(e.label),
+		resp.IntVal(int64(boolInt(e.committed))),
+		resp.BulkVal(e.cause.String()),
+		resp.IntVal(e.attempts),
+		resp.IntVal(e.waitNs/1000),
+		resp.IntVal(e.latNs/1000),
+		bulkArray(e.events),
+	)
 }

@@ -311,7 +311,8 @@ func (st *Store) HLenTx(tx *stm.Tx, now int64, key string) (int, error) {
 
 // HIncrTx adds delta to the integer at field name of the hash at key,
 // creating hash and field as needed, and returns the new value. A
-// non-integer field yields ErrNotInteger.
+// non-integer field yields ErrNotInteger, a sum past the int64 range
+// ErrOverflow.
 func (st *Store) HIncrTx(tx *stm.Tx, now int64, key, name string, delta int64) (int64, error) {
 	e, err := st.containerEntry(tx, now, key, kindHash)
 	if err != nil {
@@ -321,14 +322,10 @@ func (st *Store) HIncrTx(tx *stm.Tx, now int64, key, name string, delta int64) (
 	if err != nil {
 		return 0, err
 	}
-	n := int64(0)
-	if ok {
-		n, err = strconv.ParseInt(cur, 10, 64)
-		if err != nil {
-			return 0, ErrNotInteger
-		}
+	n, err := incremented(cur, ok, delta)
+	if err != nil {
+		return 0, err
 	}
-	n += delta
 	val := strconv.FormatInt(n, 10)
 	if _, err := fieldSet(tx, e.hash, name, val); err != nil {
 		return 0, err

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,37 +47,29 @@ func WithSlowlog(threshold time.Duration, size int) ServerOption {
 	return func(srv *Server) {
 		srv.slow.threshold = threshold
 		if size > 0 {
-			srv.slow.ring = make([]slowEntry, size)
+			srv.slow.ringLog = newRingLog[slowEntry](size)
 		}
 	}
 }
 
 // cmdMetrics is one command's counters and latency distribution.
 type cmdMetrics struct {
+	name   string // lower case, as in the cmd label
 	calls  *obs.Counter
 	errors *obs.Counter
 	lat    *obs.Histogram
-}
-
-// commandNames enumerates every command the handler accepts, control
-// commands included — the fixed metric universe, pre-registered so the
-// hot path is map lookups of interned strings, never registration.
-var commandNames = []string{
-	"PING", "GET", "SET", "DEL", "INCR", "INCRBY", "MGET", "MSET",
-	"EXPIRE", "PEXPIRE", "TTL", "PTTL", "DBSIZE",
-	"HSET", "HGET", "HDEL", "HGETALL", "HLEN", "HINCRBY",
-	"LPUSH", "RPUSH", "LPOP", "RPOP", "LLEN", "LRANGE",
-	"ZADD", "ZSCORE", "ZREM", "ZCARD", "ZRANGE", "TYPE",
-	"MULTI", "EXEC", "DISCARD", "QUIT", "SAVE", "BGSAVE",
-	"INFO", "SLOWLOG", "ABORTLOG",
 }
 
 // serverMetrics bundles the server's own instruments.
 type serverMetrics struct {
 	connections *obs.Counter
 	clients     *obs.Gauge
-	cmds        map[string]*cmdMetrics
-	unknown     *cmdMetrics
+	// cmds holds one slot per command table entry, by table index — the
+	// fixed metric universe, pre-registered so the hot path never
+	// registers. Unrecognized names fold into unknown, so a hostile
+	// client cannot grow the label space.
+	cmds    []*cmdMetrics
+	unknown *cmdMetrics
 
 	sweepFailures  *obs.Counter
 	sweepReaped    *obs.Counter
@@ -88,7 +80,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	sm := &serverMetrics{
 		connections: reg.Counter("stmkv_connections_total", "Connections accepted.", nil),
 		clients:     reg.Gauge("stmkv_connected_clients", "Connections currently open.", nil),
-		cmds:        make(map[string]*cmdMetrics, len(commandNames)+1),
+		cmds:        make([]*cmdMetrics, len(commands)),
 		sweepFailures: reg.Counter("stmkv_sweeper_failures_total",
 			"Background TTL sweeper passes that failed.", nil),
 		sweepReaped: reg.Counter("stmkv_sweeper_reaped_total",
@@ -97,45 +89,38 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"Background saves (scheduled or BGSAVE) that failed.", nil),
 	}
 	mk := func(name string) *cmdMetrics {
-		lbl := obs.Labels{"cmd": strings.ToLower(name)}
+		name = strings.ToLower(name)
+		lbl := obs.Labels{"cmd": name}
 		return &cmdMetrics{
+			name:   name,
 			calls:  reg.Counter("stmkv_commands_total", "Commands processed.", lbl),
 			errors: reg.Counter("stmkv_command_errors_total", "Commands answered with an error.", lbl),
 			lat:    reg.Histogram("stmkv_command_seconds", "Command wall time, decode to reply.", lbl),
 		}
 	}
-	for _, name := range commandNames {
-		sm.cmds[name] = mk(name)
+	for i := range commands {
+		sm.cmds[i] = mk(commands[i].name)
 	}
 	sm.unknown = mk("UNKNOWN")
 	return sm
 }
 
-// cmd returns the metrics slot for a command name (already uppercased
-// by the handler), folding unrecognized names into one series so a
-// hostile client cannot grow the label space.
-func (sm *serverMetrics) cmd(name string) *cmdMetrics {
-	if m, ok := sm.cmds[name]; ok {
-		return m
+// observe records one handled command: i is its table index, or -1
+// for an unrecognized name. reply errors count as command errors
+// whether they came from validation, execution, or state machinery
+// (MULTI misuse) — if the client saw "-ERR", it counts.
+func (srv *Server) observe(i int, name string, start time.Time, args []string, reply resp.Value, cost txCost) {
+	m := srv.sm.unknown
+	if i >= 0 {
+		m = srv.sm.cmds[i]
 	}
-	return sm.unknown
-}
-
-// observe records one handled command. reply errors count as command
-// errors whether they came from validation, execution, or state
-// machinery (MULTI misuse) — if the client saw "-ERR", it counts.
-func (srv *Server) observe(name string, start time.Time, args []string, reply resp.Value, cost txCost) {
-	m := srv.sm.cmd(name)
 	m.calls.Inc()
 	if reply.IsError() {
 		m.errors.Inc()
 	}
 	dur := time.Since(start)
 	m.lat.Observe(dur)
-	// SLOWLOG itself is exempt: inspecting or resetting the log must
-	// not repopulate it (a RESET would otherwise leave one entry —
-	// the RESET).
-	if name != "SLOWLOG" {
+	if i < 0 || commands[i].flags&cmdUnlogged == 0 {
 		srv.slow.note(name, args, dur, cost)
 	}
 }
@@ -228,123 +213,138 @@ func registerStoreMetrics(reg *obs.Registry, st *Store, manager string) {
 // attempts or a large wait was a contention victim, one with neither
 // was genuinely doing work (a long LRANGE, a DBSIZE scan).
 type slowEntry struct {
-	id       int64
 	unix     int64 // wall-clock seconds when the command finished
 	dur      time.Duration
 	attempts int64    // transaction attempts (0 for non-transactional commands)
 	waitNs   int64    // ns inside the contention manager, across attempts
-	args     []string // command name followed by its arguments
+	args     []string // command name followed by its arguments, truncated
 }
 
-// slowlog is a fixed-size ring of the most recent slow commands,
-// mirroring Redis's SLOWLOG: mutex-guarded because it is only touched
-// for commands that already took ~milliseconds.
+// Redis's SLOWLOG bounds on what an entry keeps: at most slowMaxArgs
+// argument slots and slowMaxString bytes of each, so slow commands
+// with huge frames cannot pin them in the ring.
+const (
+	slowMaxArgs   = 32
+	slowMaxString = 128
+)
+
+// slowlog is the ring of the most recent slow commands, mirroring
+// Redis's SLOWLOG: mutex-guarded because it is only touched for
+// commands that already took ~milliseconds.
 type slowlog struct {
-	mu        sync.Mutex
 	threshold time.Duration
-	ring      []slowEntry
-	total     int64 // entries ever recorded; also the next id
+	ringLog[slowEntry]
 }
 
 func (sl *slowlog) note(name string, args []string, dur time.Duration, cost txCost) {
-	if sl.threshold < 0 || dur < sl.threshold || len(sl.ring) == 0 {
+	if sl.threshold < 0 || dur < sl.threshold {
 		return
 	}
-	full := append([]string{name}, args...)
-	sl.mu.Lock()
-	sl.ring[sl.total%int64(len(sl.ring))] = slowEntry{
-		id:       sl.total,
+	argc := 1 + len(args)
+	kept := make([]string, min(argc, slowMaxArgs))
+	for j := range kept {
+		a := name
+		if j > 0 {
+			a = args[j-1]
+		}
+		switch {
+		case j == slowMaxArgs-1 && argc > slowMaxArgs:
+			a = fmt.Sprintf("... (%d more arguments)", argc-j)
+		case len(a) > slowMaxString:
+			a = a[:slowMaxString] + fmt.Sprintf("... (%d more bytes)", len(a)-slowMaxString)
+		}
+		kept[j] = a
+	}
+	sl.add(slowEntry{
 		unix:     time.Now().Unix(),
 		dur:      dur,
 		attempts: cost.attempts,
 		waitNs:   cost.waitNs,
-		args:     full,
-	}
-	sl.total++
-	sl.mu.Unlock()
+		args:     kept,
+	})
 }
 
-// get returns up to n entries, newest first (n < 0 means all held).
-func (sl *slowlog) get(n int) []slowEntry {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	held := sl.total
-	if held > int64(len(sl.ring)) {
-		held = int64(len(sl.ring))
-	}
-	if n >= 0 && int64(n) < held {
-		held = int64(n)
-	}
-	out := make([]slowEntry, 0, held)
-	for i := int64(0); i < held; i++ {
-		out = append(out, sl.ring[(sl.total-1-i)%int64(len(sl.ring))])
-	}
-	return out
+// value renders a SLOWLOG GET entry: id, unix seconds, duration µs,
+// argv, attempts, wait ns.
+func (e slowEntry) value(id int64) resp.Value {
+	return resp.ArrayVal(
+		resp.IntVal(id),
+		resp.IntVal(e.unix),
+		resp.IntVal(e.dur.Microseconds()),
+		bulkArray(e.args),
+		resp.IntVal(e.attempts),
+		resp.IntVal(e.waitNs),
+	)
 }
 
-func (sl *slowlog) len() int64 {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if sl.total > int64(len(sl.ring)) {
-		return int64(len(sl.ring))
-	}
-	return sl.total
+// ringLog is a fixed-size ring of the most recent entries, the store
+// behind SLOWLOG and ABORTLOG. An entry's id is the count of entries
+// recorded before it, so ids keep counting past the ring.
+type ringLog[T any] struct {
+	mu    sync.Mutex
+	ring  []T
+	total int64 // entries ever recorded; also the next id
 }
 
-func (sl *slowlog) reset() {
-	sl.mu.Lock()
-	sl.total = 0
-	for i := range sl.ring {
-		sl.ring[i] = slowEntry{}
-	}
-	sl.mu.Unlock()
+func newRingLog[T any](size int) ringLog[T] { return ringLog[T]{ring: make([]T, size)} }
+
+func (rl *ringLog[T]) add(e T) {
+	rl.mu.Lock()
+	rl.ring[rl.total%int64(len(rl.ring))] = e
+	rl.total++
+	rl.mu.Unlock()
 }
 
-// slowlogReply serves SLOWLOG GET [n] | LEN | RESET.
-func (srv *Server) slowlogReply(args []string) resp.Value {
-	switch strings.ToUpper(args[0]) {
-	case "GET":
-		n := 10
+// len reports how many entries the ring currently holds.
+func (rl *ringLog[T]) len() int64 {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	return min(rl.total, int64(len(rl.ring)))
+}
+
+func (rl *ringLog[T]) reset() {
+	rl.mu.Lock()
+	rl.total = 0
+	clear(rl.ring)
+	rl.mu.Unlock()
+}
+
+// ringReply serves the ring logs' shared subcommands for the command
+// name (SLOWLOG or ABORTLOG): GET [n] renders the n newest entries,
+// newest first (10 by default, all held for n < 0), LEN counts them
+// and RESET empties the ring.
+func ringReply[T interface{ value(id int64) resp.Value }](name string, rl *ringLog[T], args []string) resp.Value {
+	switch sub := strings.ToUpper(args[0]); {
+	case sub == "GET" && len(args) <= 2:
+		n := int64(10)
 		if len(args) == 2 {
 			v, err := strconv.Atoi(args[1])
 			if err != nil {
 				return resp.ErrVal("ERR value is not an integer or out of range")
 			}
-			n = v
-		} else if len(args) > 2 {
-			return resp.ErrVal("ERR wrong number of arguments for 'slowlog|get' command")
+			n = int64(v)
 		}
-		entries := srv.slow.get(n)
-		elems := make([]resp.Value, len(entries))
-		for i, e := range entries {
-			cmd := make([]resp.Value, len(e.args))
-			for j, a := range e.args {
-				cmd[j] = resp.BulkVal(a)
-			}
-			elems[i] = resp.ArrayVal(
-				resp.IntVal(e.id),
-				resp.IntVal(e.unix),
-				resp.IntVal(e.dur.Microseconds()),
-				resp.ArrayVal(cmd...),
-				resp.IntVal(e.attempts),
-				resp.IntVal(e.waitNs),
-			)
+		rl.mu.Lock()
+		defer rl.mu.Unlock()
+		if held := min(rl.total, int64(len(rl.ring))); n < 0 || n > held {
+			n = held
+		}
+		elems := make([]resp.Value, n)
+		for i := range elems {
+			id := rl.total - 1 - int64(i)
+			elems[i] = rl.ring[id%int64(len(rl.ring))].value(id)
 		}
 		return resp.ArrayVal(elems...)
-	case "LEN":
-		if len(args) != 1 {
-			return resp.ErrVal("ERR wrong number of arguments for 'slowlog|len' command")
-		}
-		return resp.IntVal(srv.slow.len())
-	case "RESET":
-		if len(args) != 1 {
-			return resp.ErrVal("ERR wrong number of arguments for 'slowlog|reset' command")
-		}
-		srv.slow.reset()
+	case sub == "LEN" && len(args) == 1:
+		return resp.IntVal(rl.len())
+	case sub == "RESET" && len(args) == 1:
+		rl.reset()
 		return resp.SimpleVal("OK")
-	default:
-		return resp.ErrVal(fmt.Sprintf("ERR unknown SLOWLOG subcommand '%s'", args[0]))
+	case sub == "GET" || sub == "LEN" || sub == "RESET":
+		return resp.ErrVal(fmt.Sprintf("ERR wrong number of arguments for '%s|%s' command",
+			strings.ToLower(name), strings.ToLower(sub)))
 	}
+	return resp.ErrVal(fmt.Sprintf("ERR unknown %s subcommand '%s'", name, args[0]))
 }
 
 // infoSections lists the sections in rendering order.
@@ -355,16 +355,10 @@ func (srv *Server) infoReply(args []string) resp.Value {
 	sections := infoSections
 	if len(args) == 1 {
 		want := strings.ToLower(args[0])
-		found := false
-		for _, s := range infoSections {
-			if s == want {
-				sections, found = []string{s}, true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(infoSections, want) {
 			return resp.ErrVal(fmt.Sprintf("ERR unknown INFO section '%s'", args[0]))
 		}
+		sections = []string{want}
 	}
 	var b strings.Builder
 	for i, s := range sections {
@@ -409,20 +403,17 @@ func (srv *Server) infoSection(b *strings.Builder, section string) {
 		line("slowlog_len", srv.slow.len())
 	case "commandstats":
 		b.WriteString("# Commandstats\r\n")
-		names := make([]string, 0, len(srv.sm.cmds))
-		for name := range srv.sm.cmds {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			m := srv.sm.cmds[name]
+		byName := slices.SortedFunc(slices.Values(srv.sm.cmds), func(a, b *cmdMetrics) int {
+			return strings.Compare(a.name, b.name)
+		})
+		for _, m := range byName {
 			calls := m.calls.Value()
 			if calls == 0 {
 				continue
 			}
 			snap := m.lat.Snapshot()
 			fmt.Fprintf(b, "cmdstat_%s:calls=%d,errors=%d,p50_usec=%d,p99_usec=%d\r\n",
-				strings.ToLower(name), calls, m.errors.Value(),
+				m.name, calls, m.errors.Value(),
 				snap.Quantile(0.50).Microseconds(), snap.Quantile(0.99).Microseconds())
 		}
 	case "stm":

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
@@ -98,6 +99,22 @@ func TestInfoAndSlowlogRejectedInsideMulti(t *testing.T) {
 			t.Fatalf("EXEC after %v = %+v, want EXECABORT", cmd, v)
 		}
 	}
+	// A control command with the wrong arity gets the arity error, as
+	// outside a block, and poisons the block too.
+	for _, cmd := range [][]string{{"INFO", "a", "b"}, {"SLOWLOG"}, {"ABORTLOG"}, {"SAVE", "x"}, {"BGSAVE", "x"}} {
+		c.mustDo(t, "MULTI")
+		want := "ERR wrong number of arguments for '" + strings.ToLower(cmd[0]) + "' command"
+		if v, _ := c.do(cmd...); !v.IsError() || v.Str != want {
+			t.Fatalf("%v inside MULTI = %+v, want %q", cmd, v, want)
+		}
+		c.mustDo(t, "SET", "k", "v")
+		if v, _ := c.do("EXEC"); !v.IsError() || !strings.HasPrefix(v.Str, "EXECABORT") {
+			t.Fatalf("EXEC after %v = %+v, want EXECABORT", cmd, v)
+		}
+		if v := c.mustDo(t, "GET", "k"); !v.Null {
+			t.Fatalf("EXEC after %v committed SET: %+v", cmd, v)
+		}
+	}
 }
 
 func TestSlowlogRingWraparound(t *testing.T) {
@@ -162,6 +179,56 @@ func TestSlowlogRingWraparound(t *testing.T) {
 	// Unknown subcommand errors.
 	if v, _ := c.do("SLOWLOG", "HELP"); !v.IsError() {
 		t.Fatalf("SLOWLOG HELP = %+v, want error", v)
+	}
+}
+
+// TestSlowlogTruncatesArguments: like Redis, an entry keeps at most
+// 32 argument slots, the last one counting the rest, and at most 128
+// bytes of each argument, so huge slow frames are not pinned.
+func TestSlowlogTruncatesArguments(t *testing.T) {
+	_, addr, stop := startServerWith(t, New(stm.New()), WithSlowlog(0, 4))
+	defer stop()
+	c := dialClient(t, addr)
+	defer c.close()
+
+	big := strings.Repeat("v", 1000)
+	mset := []string{"MSET"}
+	for i := 0; i < 20; i++ {
+		mset = append(mset, fmt.Sprint("k", i), big)
+	}
+	c.mustDo(t, mset...)
+	del := []string{"DEL"} // exactly 32 slots: kept whole
+	for i := 0; i < 31; i++ {
+		del = append(del, fmt.Sprint("k", i))
+	}
+	c.mustDo(t, del...)
+
+	v := c.mustDo(t, "SLOWLOG", "GET", "2")
+	if len(v.Elems) != 2 {
+		t.Fatalf("SLOWLOG GET 2 returned %d entries", len(v.Elems))
+	}
+	var got []string
+	for _, a := range v.Elems[0].Elems[3].Elems {
+		got = append(got, a.Str)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(del) {
+		t.Fatalf("DEL entry = %q, want %q", got, del)
+	}
+	got = got[:0]
+	for _, a := range v.Elems[1].Elems[3].Elems {
+		got = append(got, a.Str)
+	}
+	if len(got) != 32 {
+		t.Fatalf("MSET entry keeps %d argument slots, want 32", len(got))
+	}
+	if got[0] != "MSET" || got[1] != "k0" || got[29] != "k14" {
+		t.Fatalf("MSET entry slots = %q", got)
+	}
+	if want := big[:128] + "... (872 more bytes)"; got[2] != want {
+		t.Fatalf("long argument kept as %q, want %q", got[2], want)
+	}
+	if want := "... (10 more arguments)"; got[31] != want {
+		t.Fatalf("last slot = %q, want %q", got[31], want)
 	}
 }
 

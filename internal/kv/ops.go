@@ -17,6 +17,28 @@ import (
 // transaction — an EXEC block included — aborts atomically.
 var ErrNotInteger = errors.New("kv: value is not an integer")
 
+// ErrOverflow is returned by Incr and HIncr when the sum would not fit
+// a signed 64-bit integer; nothing is written.
+var ErrOverflow = errors.New("kv: increment or decrement would overflow")
+
+// incremented returns the integer in cur (0 when !present) plus
+// delta: ErrNotInteger when cur does not parse, ErrOverflow when the
+// sum wraps.
+func incremented(cur string, present bool, delta int64) (int64, error) {
+	n := int64(0)
+	if present {
+		var err error
+		if n, err = strconv.ParseInt(cur, 10, 64); err != nil {
+			return 0, ErrNotInteger
+		}
+	}
+	sum := n + delta
+	if (delta > 0 && sum < n) || (delta < 0 && sum > n) {
+		return 0, ErrOverflow
+	}
+	return sum, nil
+}
+
 // findEntry reads key's live entry inside tx at instant now, or nil —
 // the read-only lookup under Get, TTL and Incr. Expired entries read
 // as absent without writing, so a hot read never acquires ownership.
@@ -153,22 +175,22 @@ func pruneKey(head *entry, key string, now int64) (*entry, int) {
 // IncrTx adds delta to the integer value at key inside tx at instant
 // now, creating the key at delta if absent or expired, and returns the
 // new value. An existing key keeps its TTL, Redis-style; a fresh one
-// stores without expiry. A non-integer value yields ErrNotInteger.
+// stores without expiry. A non-integer value yields ErrNotInteger, a
+// sum past the int64 range ErrOverflow.
 func (st *Store) IncrTx(tx *stm.Tx, now int64, key string, delta int64) (int64, error) {
 	e, err := st.typedEntry(tx, now, key, kindString)
 	if err != nil {
 		return 0, err
 	}
-	n := int64(0)
+	var cur string
 	var expireAt int64
 	if e != nil {
-		n, err = strconv.ParseInt(e.val, 10, 64)
-		if err != nil {
-			return 0, ErrNotInteger
-		}
-		expireAt = e.expireAt
+		cur, expireAt = e.val, e.expireAt
 	}
-	n += delta
+	n, err := incremented(cur, e != nil, delta)
+	if err != nil {
+		return 0, err
+	}
 	if err := st.putTx(tx, now, key, strconv.FormatInt(n, 10), expireAt); err != nil {
 		return 0, err
 	}
@@ -363,26 +385,45 @@ func (st *Store) TTL(key string) (time.Duration, bool, error) {
 func (st *Store) Len() (int, error) {
 	now := st.now()
 	return stm.Atomic(st.s, func(tx *stm.Tx) (int, error) {
-		total := 0
-		for _, sh := range st.shards {
-			b, err := sh.Buckets(tx)
+		return st.lenTx(tx, now)
+	})
+}
+
+// lenTx counts the keys live at instant now inside tx.
+func (st *Store) lenTx(tx *stm.Tx, now int64) (int, error) {
+	total := 0
+	err := st.eachLive(tx, now, func(*entry) error {
+		total++
+		return nil
+	})
+	return total, err
+}
+
+// eachLive calls fn on every entry live at instant now inside tx,
+// shard by shard, stopping at fn's first error. Every bucket joins the
+// read set, so the walk conflicts with all concurrent writers.
+func (st *Store) eachLive(tx *stm.Tx, now int64, fn func(*entry) error) error {
+	for _, sh := range st.shards {
+		b, err := sh.Buckets(tx)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < b.Len(); i++ {
+			head, err := stm.Read(tx, b.At(i))
 			if err != nil {
-				return 0, err
+				return err
 			}
-			for i := 0; i < b.Len(); i++ {
-				head, err := stm.Read(tx, b.At(i))
-				if err != nil {
-					return 0, err
+			for e := head; e != nil; e = e.next {
+				if e.dead(now) {
+					continue
 				}
-				for e := head; e != nil; e = e.next {
-					if !e.dead(now) {
-						total++
-					}
+				if err := fn(e); err != nil {
+					return err
 				}
 			}
 		}
-		return total, nil
-	})
+	}
+	return nil
 }
 
 // Keys returns every live key in one consistent transaction, in no
@@ -391,23 +432,10 @@ func (st *Store) Keys() ([]string, error) {
 	now := st.now()
 	return stm.Atomic(st.s, func(tx *stm.Tx) ([]string, error) {
 		var out []string
-		for _, sh := range st.shards {
-			b, err := sh.Buckets(tx)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < b.Len(); i++ {
-				head, err := stm.Read(tx, b.At(i))
-				if err != nil {
-					return nil, err
-				}
-				for e := head; e != nil; e = e.next {
-					if !e.dead(now) {
-						out = append(out, e.key)
-					}
-				}
-			}
-		}
-		return out, nil
+		err := st.eachLive(tx, now, func(e *entry) error {
+			out = append(out, e.key)
+			return nil
+		})
+		return out, err
 	})
 }
