@@ -224,14 +224,14 @@ var commands = []command{
 		}
 		return resp.SimpleVal(t), nil
 	}},
-	{name: "MULTI", max: many, ctl: func(c *session, cmd *command, a argv) resp.Value {
+	{name: "MULTI", ctl: func(c *session, cmd *command, a argv) resp.Value {
 		if c.multi {
 			return resp.ErrVal("ERR MULTI calls can not be nested")
 		}
 		c.multi, c.queue, c.dirty = true, nil, false
 		return resp.SimpleVal("OK")
 	}},
-	{name: "EXEC", max: many, flags: cmdWrite, ctl: func(c *session, cmd *command, a argv) resp.Value {
+	{name: "EXEC", flags: cmdWrite, ctl: func(c *session, cmd *command, a argv) resp.Value {
 		switch {
 		case !c.multi:
 			return resp.ErrVal("ERR EXEC without MULTI")
@@ -248,7 +248,7 @@ var commands = []command{
 		}
 		return resp.ArrayVal(replies...)
 	}},
-	{name: "DISCARD", max: many, ctl: func(c *session, cmd *command, a argv) resp.Value {
+	{name: "DISCARD", ctl: func(c *session, cmd *command, a argv) resp.Value {
 		if !c.multi {
 			return resp.ErrVal("ERR DISCARD without MULTI")
 		}

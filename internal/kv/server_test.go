@@ -308,6 +308,49 @@ func TestServerProtocol(t *testing.T) {
 	}
 }
 
+// TestTransactionCommandArity: MULTI, EXEC and DISCARD take no
+// arguments (Redis arity 1), outside a block and inside one, where the
+// arity error poisons the block and leaves it open; QUIT still accepts
+// and ignores extra arguments (Redis arity -1).
+func TestTransactionCommandArity(t *testing.T) {
+	st := New(stm.New())
+	addr, stop := startServer(t, st)
+	defer stop()
+	c := dialClient(t, addr)
+	defer c.close()
+
+	arity := func(cmd ...string) {
+		t.Helper()
+		want := "ERR wrong number of arguments for '" + strings.ToLower(cmd[0]) + "' command"
+		if v, _ := c.do(cmd...); !v.IsError() || v.Str != want {
+			t.Fatalf("%v = %+v, want %q", cmd, v, want)
+		}
+	}
+	for _, cmd := range [][]string{{"MULTI", "x"}, {"EXEC", "x"}, {"DISCARD", "x", "y"}} {
+		arity(cmd...)
+		// No block was opened or closed: a write runs at once.
+		if v := c.mustDo(t, "SET", "k", cmd[0]); v.Str != "OK" {
+			t.Fatalf("SET after %v = %+v, want OK", cmd, v)
+		}
+	}
+	for _, cmd := range [][]string{{"MULTI", "x"}, {"EXEC", "x"}, {"DISCARD", "x"}} {
+		c.mustDo(t, "MULTI")
+		arity(cmd...)
+		if v, _ := c.do("SET", "k", "queued"); v.Str != "QUEUED" {
+			t.Fatalf("SET after %v inside MULTI = %+v, want QUEUED", cmd, v)
+		}
+		if v, _ := c.do("EXEC"); !v.IsError() || !strings.HasPrefix(v.Str, "EXECABORT") {
+			t.Fatalf("EXEC after %v = %+v, want EXECABORT", cmd, v)
+		}
+	}
+	if v := c.mustDo(t, "GET", "k"); v.Str != "DISCARD" {
+		t.Fatalf("GET k = %+v, want the last write outside a block", v)
+	}
+	if v, err := c.do("QUIT", "x"); err != nil || v.Str != "OK" {
+		t.Fatalf("QUIT x = %+v, %v; want OK", v, err)
+	}
+}
+
 // TestServerTypedCommands drives the container command surface over
 // real TCP: hash, list and zset verbs, TYPE, WRONGTYPE and arity
 // error replies, WITHSCORES, and a MULTI/EXEC block spanning all

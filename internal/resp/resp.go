@@ -240,6 +240,9 @@ func (r *Reader) readBulkBody(n int) (string, error) {
 type Writer struct {
 	bw  *bufio.Writer
 	err error
+	// num is the scratch a header line (prefix, decimal, CRLF) is
+	// formatted in, so framing a reply allocates nothing.
+	num [24]byte
 }
 
 // NewWriter wraps w for reply encoding.
@@ -253,20 +256,37 @@ func (w *Writer) writeString(s string) {
 	}
 }
 
+// line writes prefix, s and CRLF.
+func (w *Writer) line(prefix byte, s string) {
+	if w.err == nil {
+		w.err = w.bw.WriteByte(prefix)
+	}
+	w.writeString(s)
+	w.writeString("\r\n")
+}
+
+// header writes prefix, n in decimal and CRLF.
+func (w *Writer) header(prefix byte, n int64) {
+	if w.err == nil {
+		b := strconv.AppendInt(append(w.num[:0], prefix), n, 10)
+		_, w.err = w.bw.Write(append(b, '\r', '\n'))
+	}
+}
+
 // Simple writes a simple-string reply: +s.
-func (w *Writer) Simple(s string) { w.writeString("+" + s + "\r\n") }
+func (w *Writer) Simple(s string) { w.line('+', s) }
 
 // Error writes an error reply: -msg.
-func (w *Writer) Error(msg string) { w.writeString("-" + msg + "\r\n") }
+func (w *Writer) Error(msg string) { w.line('-', msg) }
 
 // Int writes an integer reply: :n.
-func (w *Writer) Int(n int64) { w.writeString(":" + strconv.FormatInt(n, 10) + "\r\n") }
+func (w *Writer) Int(n int64) { w.header(':', n) }
 
 // Bulk writes a bulk-string reply: $len/payload. The payload is
 // written as-is (no concatenation): a GET-heavy workload must not pay
 // an extra copy of up to MaxBulk per reply.
 func (w *Writer) Bulk(s string) {
-	w.writeString("$" + strconv.Itoa(len(s)) + "\r\n")
+	w.header('$', int64(len(s)))
 	w.writeString(s)
 	w.writeString("\r\n")
 }
@@ -276,7 +296,7 @@ func (w *Writer) Null() { w.writeString("$-1\r\n") }
 
 // Array writes an array header for n elements; the caller then writes
 // the n replies.
-func (w *Writer) Array(n int) { w.writeString("*" + strconv.Itoa(n) + "\r\n") }
+func (w *Writer) Array(n int) { w.header('*', int64(n)) }
 
 // Flush drains the buffer and reports the first error of the batch.
 func (w *Writer) Flush() error {

@@ -179,6 +179,32 @@ func TestWriterReplies(t *testing.T) {
 	}
 }
 
+// TestWriterZeroAlloc: framing a reply allocates nothing on a warm
+// writer, whatever the payload or integer.
+func TestWriterZeroAlloc(t *testing.T) {
+	w := NewWriter(io.Discard)
+	payload := strings.Repeat("v", 100)
+	cases := []struct {
+		name  string
+		write func()
+	}{
+		{"Simple", func() { w.Simple("OK") }},
+		{"Error", func() { w.Error("ERR wrong number of arguments for 'get' command") }},
+		{"Int", func() { w.Int(-1 << 62) }},
+		{"Bulk", func() { w.Bulk(payload) }},
+		{"Null", func() { w.Null() }},
+		{"Array", func() { w.Array(12345) }},
+	}
+	for _, c := range cases {
+		if n := testing.AllocsPerRun(1000, c.write); n != 0 {
+			t.Errorf("%s: %.1f allocs per reply, want 0", c.name, n)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // errWriter fails after n bytes, for the sticky-error contract.
 type errWriter struct {
 	n int

@@ -21,7 +21,7 @@ type session struct {
 	mgr Manager
 
 	// pinned marks a Thread's session. Pinned sessions never reuse Tx
-	// descriptors (only the owner-private read-set map): Thread exposes
+	// descriptors (only the session-owned read set): Thread exposes
 	// the running attempt through Current() for failure injection, and
 	// a stale injector reference must stay a harmless no-op on a
 	// finished transaction — never a Halt of an unrelated later one.
@@ -44,17 +44,14 @@ type session struct {
 	commitLat   metrics.AtomicHistogram
 	commitTries metrics.AtomicHistogram
 
-	// freeTx, freeReads and freeShared cache attempt state for reuse
-	// (see recycle). They are owner-private: only the goroutine holding
-	// the session touches them.
+	// freeTx and freeShared cache attempt state for reuse (see
+	// recycle). They are owner-private: only the goroutine holding the
+	// session touches them.
 	freeTx     *Tx
-	freeReads  map[*TObj]Value
 	freeShared *txShared
 
-	// inline is the small-transaction read-set array lent to the
-	// session's running attempt (one runs at a time), so per-attempt
-	// descriptors stay small and small transactions need no map.
-	inline inlineReadSet
+	// reads is the running attempt's read set (see readSet).
+	reads readSet
 
 	// stripeScratch is the reusable buffer writer commits collect
 	// their write set's stripe indices into (see Tx.lockStripes);
@@ -201,19 +198,16 @@ func (sess *session) atomically(fn func(tx *Tx) error) error {
 		if tx := sess.current.Load(); tx != nil {
 			tx.Abort()
 			sess.current.Store(nil)
-			// The orphan skipped recycle; its read set is owner-private
-			// and never consulted again, so don't let it pin Values —
-			// nor the local slot and commit hook pin caller state.
-			tx.reads = nil
+			// The orphan skipped recycle: don't let its local slot and
+			// commit hook pin caller state.
 			tx.local = nil
 			tx.onCommit = nil
 		}
 		// Halted and panicked attempts skip recycle, which is what
-		// normally empties the session's inline read set before it
-		// idles in the pool; reset here so an abandoned attempt's
-		// entries don't pin old committed Values (no-op when recycle
-		// already ran).
-		sess.inline.reset()
+		// normally empties the session's read set before it idles in
+		// the pool; reset here so an abandoned attempt's entries don't
+		// pin old committed Values.
+		sess.reads.reset()
 		// A panicked sampled transaction never reached finishTrace;
 		// discard its half-built recording rather than letting the
 		// next sampled transaction inherit it (no-op otherwise).
@@ -293,14 +287,13 @@ func (sess *session) run(shared *txShared, fn func(tx *Tx) error) error {
 		case errors.Is(err, ErrHalted):
 			// Failure injection: abandon the transaction without
 			// aborting it. It remains active and obstructing, so its
-			// descriptor is not recycled — but its read set is
-			// owner-private and never consulted again (enemies only
-			// read the descriptor's atomics), so sever it rather than
-			// letting stale locator references pin old Values.
+			// descriptor is not recycled; the deferred reset in
+			// atomically empties the session's read set, and the local
+			// slot and hook are severed so stale locator references
+			// don't pin caller state.
 			sess.endAttemptRegion(reg, CauseNone)
 			sess.current.Store(nil)
 			sess.stats.halted.Add(1)
-			tx.reads = nil
 			tx.local = nil
 			tx.onCommit = nil
 			return ErrHalted
@@ -342,17 +335,13 @@ func (sess *session) run(shared *txShared, fn func(tx *Tx) error) error {
 	}
 }
 
-// maxRecycledReads caps the read-set size kept for reuse, so one huge
-// transaction does not pin a huge map on the session forever.
-const maxRecycledReads = 256
-
 // newAttempt produces the descriptor for the next attempt, reusing the
-// session's cached descriptor or read-set map when available.
+// session's cached descriptor when available.
 func (sess *session) newAttempt(shared *txShared) *Tx {
-	// The previous attempt's inline entries are normally reset by
-	// recycle; a halted or panicked attempt skips recycling, so reset
-	// again here before lending the array out.
-	sess.inline.reset()
+	// The previous attempt's entries are normally reset by recycle; a
+	// halted or panicked attempt skips recycling, so reset again here
+	// before lending the set out.
+	sess.reads.reset()
 	if tx := sess.freeTx; tx != nil {
 		sess.freeTx = nil
 		tx.shared = shared
@@ -364,15 +353,7 @@ func (sess *session) newAttempt(shared *txShared) *Tx {
 		tx.opens = 0
 		return tx
 	}
-	tx := &Tx{stm: sess.stm, sess: sess, shared: shared, inline: &sess.inline}
-	// The inline array serves small transactions without a map; adopt a
-	// salvaged overflow map when one is cached, and otherwise leave
-	// reads nil until the inline slots fill.
-	if sess.freeReads != nil {
-		tx.reads = sess.freeReads
-		sess.freeReads = nil
-	}
-	return tx
+	return &Tx{stm: sess.stm, sess: sess, shared: shared}
 }
 
 // recycle salvages attempt state once the attempt is frozen. A
@@ -382,30 +363,19 @@ func (sess *session) newAttempt(shared *txShared) *Tx {
 // status forever, and resetting a referenced descriptor to active
 // would rewrite committed history. Read-only attempts and lazy-mode
 // attempts (whose commit installs ownerless locators) are never
-// referenced, so their descriptors and read-set maps are reused whole;
-// for eager writers only the owner-private read-set map is salvaged.
+// referenced, so their descriptors are reused whole. The read set is
+// the session's and is reused either way.
 func (sess *session) recycle(tx *Tx) {
 	// Reset here, not at reuse: a session may idle in the pool
-	// indefinitely, and its inline read-set entries must not pin old
-	// committed Values while it does. The local slot and commit hook
-	// are attempt-scoped for the same reason (a fired hook already
-	// cleared itself; an aborted attempt's hook must not survive into
-	// a retry).
-	sess.inline.reset()
+	// indefinitely, and its read-set entries must not pin old committed
+	// Values while it does. The local slot and commit hook are
+	// attempt-scoped for the same reason (a fired hook already cleared
+	// itself; an aborted attempt's hook must not survive into a retry).
+	sess.reads.reset()
 	tx.local = nil
 	tx.onCommit = nil
-	if len(tx.writes) == 0 && !sess.pinned {
-		if sess.freeTx == nil && len(tx.reads) <= maxRecycledReads {
-			clear(tx.reads)
-			clear(tx.lazyWrites)
-			sess.freeTx = tx
-		}
-		return
-	}
-	if sess.freeReads == nil && tx.reads != nil && len(tx.reads) <= maxRecycledReads {
-		m := tx.reads
-		tx.reads = nil
-		clear(m)
-		sess.freeReads = m
+	if len(tx.writes) == 0 && !sess.pinned && sess.freeTx == nil {
+		clear(tx.lazyWrites)
+		sess.freeTx = tx
 	}
 }

@@ -90,6 +90,12 @@ type STM struct {
 	// production, costing one predictable branch per writer commit.
 	commitHook func()
 
+	// openHook, when non-nil, runs in every open between the attempt's
+	// status check and its locator load — the window in which an enemy
+	// can abort the attempt and commit over its objects unnoticed by
+	// the check. Test-only, like commitHook.
+	openHook func(tx *Tx, o *TObj)
+
 	// free is the LIFO pool of idle sessions behind STM.Atomically,
 	// guarded by freeMu. An explicit list (rather than sync.Pool) keeps
 	// the session count equal to the peak number of concurrent
@@ -317,7 +323,7 @@ func (tx *Tx) tryCommit() bool {
 	if len(tx.writes) == 0 {
 		return tx.tryCommitReadOnly()
 	}
-	if tx.inline.n == 0 && len(tx.reads) == 0 {
+	if len(tx.sess.reads.objs) == 0 {
 		// Blind writer (e.g. a typed Update, whose pre-image is the
 		// owned locator's oldVal, not a read-set entry): with nothing
 		// to validate there is no validate-then-CAS window to protect,

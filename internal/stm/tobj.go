@@ -133,6 +133,9 @@ func (o *TObj) openWriteAs(tx *Tx, mk func() Value) (Value, error) {
 		if err := tx.step(); err != nil {
 			return nil, err
 		}
+		if h := tx.stm.openHook; h != nil {
+			h(tx, o)
+		}
 		l := o.loc.Load()
 		if l.owner == tx {
 			return l.newVal, nil // already ours (write after write)
@@ -183,9 +186,11 @@ func (o *TObj) openRead(tx *Tx) (Value, error) {
 	if err := tx.step(); err != nil {
 		return nil, err
 	}
-	// Read own write.
-	if v, ok := tx.lazyWrites[o]; ok {
-		return v, nil
+	// Read own write. (The nil check spares eager reads a map call.)
+	if tx.lazyWrites != nil {
+		if v, ok := tx.lazyWrites[o]; ok {
+			return v, nil
+		}
 	}
 	if l := o.loc.Load(); l.owner == tx {
 		return l.newVal, nil
@@ -197,6 +202,9 @@ func (o *TObj) openRead(tx *Tx) (Value, error) {
 	for {
 		if err := tx.step(); err != nil {
 			return nil, err
+		}
+		if h := tx.stm.openHook; h != nil {
+			h(tx, o)
 		}
 		l := o.loc.Load()
 		if l.owner == tx {

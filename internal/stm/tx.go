@@ -2,9 +2,11 @@ package stm
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // txShared is the state of a logical transaction that survives aborts
@@ -60,17 +62,10 @@ type Tx struct {
 	// per-attempt descriptor in the smaller allocation size class.
 	opens int32
 
-	// The read set maps each object opened for reading to the version
-	// observed. Invisible to writers; validated lazily. Small
-	// transactions are the common case, so the first inlineReads
-	// entries live in a fixed array scanned linearly — no hashing, and
-	// a small transaction allocates no map at all — with the map as
-	// overflow (nil until the inline slots fill). The array is owned by
-	// the session (one attempt runs on a session at a time) rather than
-	// embedded here, so the descriptors of eager writers — allocated
-	// per attempt because they can never be recycled — stay small.
-	inline *inlineReadSet
-	reads  map[*TObj]Value
+	// The read set lives on the session (sess.reads, see readSet): one
+	// attempt runs on a session at a time, so it is lent to whichever
+	// attempt is running and outlives them.
+
 	// writes lists objects this attempt has open for writing, in open
 	// order (used by statistics and tests; commit itself is just a
 	// status CAS).
@@ -248,6 +243,15 @@ func (tx *Tx) step() error {
 // no committed write can have invalidated the read set, so the scan is
 // skipped.
 //
+// Success also requires the attempt to be still active after the scan.
+// The caller has just loaded a locator, and the read set says nothing
+// about the objects the attempt owns: an enemy that aborted the
+// attempt before that load may since have taken an owned object and
+// committed a write, so the loaded version can be inconsistent with
+// the attempt's private copy (a blind Update has no reads at all).
+// Active at the status load means no enemy has taken an owned object
+// yet, so the owned pre-images and the validated reads hold at once.
+//
 // On failure the transaction aborts itself and validate returns false.
 func (tx *Tx) validate() bool {
 	// The commit clock starts at 2, so the zero value of validClock
@@ -265,7 +269,7 @@ func (tx *Tx) validate() bool {
 		}
 		clock := tx.stm.commitClock.Load()
 		if clock == tx.validClock && !tx.stm.fullValidation {
-			return true
+			return tx.stillActive()
 		}
 		if !tx.readsStillCommitted() {
 			tx.setCause(CauseValidation)
@@ -275,15 +279,25 @@ func (tx *Tx) validate() bool {
 		if tx.stm.installers.Load() == 0 && tx.stm.commitClock.Load() == clock {
 			// Stable scan: cache it.
 			tx.validClock = clock
-			return true
+			return tx.stillActive()
 		}
 		if attempt >= 3 {
 			// Concurrent commits kept moving the clock; the scan
 			// passed against some interleaving of them, which is the
 			// same guarantee the eager DSTM gives. Do not cache.
-			return true
+			return tx.stillActive()
 		}
 	}
+}
+
+// stillActive is validate's closing status check; an attempt found
+// aborted was killed by an enemy.
+func (tx *Tx) stillActive() bool {
+	if tx.Status() == StatusActive {
+		return true
+	}
+	tx.setCause(CauseEnemyAbort)
+	return false
 }
 
 // maybeYield hands the processor to another goroutine at the STM's
@@ -295,67 +309,137 @@ func (tx *Tx) maybeYield() {
 	}
 }
 
-// inlineReads is the number of read-set entries kept in the session's
-// fixed array before recording spills to the overflow map. Eight
-// covers the paper's small update transactions (a list or tree
-// operation on the benchmark key range reads a handful of nodes).
-const inlineReads = 8
+// smallReads is the read-set size up to which lookups scan the entries
+// linearly. Eight covers the paper's small update transactions (a list
+// or tree operation on the benchmark key range reads a handful of
+// nodes); past it the set indexes its entries.
+const smallReads = 8
 
-// inlineReadSet is the small-transaction read-set fast path: a fixed
-// array scanned linearly. Each session owns one, lent to its running
-// attempt; it is owner-private like the overflow map.
-type inlineReadSet struct {
-	objs [inlineReads]*TObj
-	vals [inlineReads]Value
-	n    int
+// maxRetainedReads caps the read-set size whose arrays a session keeps
+// between transactions, so one huge transaction does not pin huge
+// arrays on the session forever.
+const maxRetainedReads = 256
+
+// readSet maps each object the running attempt opened for reading to
+// the version observed. Invisible to writers; validated lazily. The
+// entries are two contiguous slices in open order, so validation is a
+// plain loop. Up to smallReads entries a lookup scans them; past that,
+// an open-addressing index (multiplicative pointer hash, linear
+// probing) maps an object to its entry. Index slots carry the
+// generation they were written in, so emptying the set bumps gen
+// instead of clearing the table. The set belongs to the session (one
+// attempt runs on it at a time), so its arrays outlive attempts and
+// the descriptors of eager writers — allocated per attempt because
+// they can never be recycled — stay small. Owner-private.
+type readSet struct {
+	objs  []*TObj
+	vals  []Value
+	index []readSlot // nil or a power of two long
+	shift uint8      // 64 - log2(len(index))
+	gen   uint32     // the live slots' generation; never 0 after reset
 }
 
-// reset empties the set, releasing the recorded Values so an idle
-// session does not pin old committed versions.
-func (rs *inlineReadSet) reset() {
-	for i := 0; i < rs.n; i++ {
-		rs.objs[i] = nil
-		rs.vals[i] = nil
+// readSlot is one index slot: the position of an entry in objs and
+// vals, live while gen matches the set's. Pointer-free, so the table
+// pins no object and the garbage collector does not scan it.
+type readSlot struct{ gen, at uint32 }
+
+// lookup returns the version recorded for obj, if any.
+func (rs *readSet) lookup(obj *TObj) (Value, bool) {
+	if len(rs.objs) <= smallReads {
+		for i, o := range rs.objs {
+			if o == obj {
+				return rs.vals[i], true
+			}
+		}
+		return nil, false
 	}
-	rs.n = 0
+	mask := len(rs.index) - 1
+	for i := rs.hash(obj); ; i = (i + 1) & mask {
+		s := rs.index[i]
+		if s.gen != rs.gen {
+			return nil, false
+		}
+		if rs.objs[s.at] == obj {
+			return rs.vals[s.at], true
+		}
+	}
+}
+
+// record appends an entry for obj, which the set must not hold yet,
+// indexing it once the set is past smallReads. The index stays at most
+// half full, so probes stay short and always reach an empty slot.
+func (rs *readSet) record(obj *TObj, v Value) {
+	rs.objs = append(rs.objs, obj)
+	rs.vals = append(rs.vals, v)
+	switch n := len(rs.objs); {
+	case n <= smallReads:
+	case 2*n > len(rs.index):
+		rs.index = make([]readSlot, max(32, 1<<bits.Len(uint(2*n-1))))
+		rs.shift = uint8(64 - bits.TrailingZeros(uint(len(rs.index))))
+		rs.indexAll()
+	case n == smallReads+1:
+		rs.indexAll()
+	default:
+		rs.insert(n - 1)
+	}
+}
+
+// indexAll indexes every entry: the linear-scan entries when the set
+// first outgrows smallReads, and all of them after the table grows.
+func (rs *readSet) indexAll() {
+	for at := range rs.objs {
+		rs.insert(at)
+	}
+}
+
+func (rs *readSet) insert(at int) {
+	mask := len(rs.index) - 1
+	i := rs.hash(rs.objs[at])
+	for rs.index[i].gen == rs.gen {
+		i = (i + 1) & mask
+	}
+	rs.index[i] = readSlot{gen: rs.gen, at: uint32(at)}
+}
+
+// hash is Fibonacci hashing of the object's address: the top bits of
+// the product, which mix in every address bit (heap objects never
+// move, so the address is a stable key).
+func (rs *readSet) hash(obj *TObj) int {
+	return int(uint64(uintptr(unsafe.Pointer(obj))) * 0x9e3779b97f4a7c15 >> rs.shift)
+}
+
+// reset empties the set, releasing the recorded objects and Values so
+// an idle session pins nothing. A set that grew past maxRetainedReads
+// entries drops its arrays rather than keeping them for the next
+// transaction.
+func (rs *readSet) reset() {
+	if len(rs.objs) > maxRetainedReads {
+		rs.objs, rs.vals, rs.index = nil, nil, nil
+	} else {
+		clear(rs.objs)
+		clear(rs.vals)
+		rs.objs, rs.vals = rs.objs[:0], rs.vals[:0]
+	}
+	if rs.gen++; rs.gen == 0 {
+		// Wrapped: a slot last written 2^32 resets ago would look live.
+		clear(rs.index)
+		rs.gen = 1
+	}
 }
 
 // lookupRead returns the version the transaction has recorded for obj,
-// if any: the inline entries first, then the overflow map.
-func (tx *Tx) lookupRead(obj *TObj) (Value, bool) {
-	rs := tx.inline
-	for i := 0; i < rs.n; i++ {
-		if rs.objs[i] == obj {
-			return rs.vals[i], true
-		}
-	}
-	if tx.reads != nil {
-		v, ok := tx.reads[obj]
-		return v, ok
-	}
-	return nil, false
-}
+// if any.
+func (tx *Tx) lookupRead(obj *TObj) (Value, bool) { return tx.sess.reads.lookup(obj) }
 
 // recordRead notes that the transaction observed version v of obj.
-// The caller (openRead) has already checked lookupRead and found
-// nothing, and only the owning goroutine mutates the read set, so no
-// duplicate check is repeated here — this is the hottest read path.
-func (tx *Tx) recordRead(obj *TObj, v Value) {
-	rs := tx.inline
-	if rs.n < inlineReads {
-		rs.objs[rs.n] = obj
-		rs.vals[rs.n] = v
-		rs.n++
-		return
-	}
-	if tx.reads == nil {
-		tx.reads = make(map[*TObj]Value, 16)
-	}
-	tx.reads[obj] = v
-}
+// The caller has already checked lookupRead and found nothing, and
+// only the owning goroutine mutates the read set, so no duplicate
+// check is repeated here — this is the hottest read path.
+func (tx *Tx) recordRead(obj *TObj, v Value) { tx.sess.reads.record(obj, v) }
 
-// readsStillCommitted re-checks every recorded read — inline entries
-// and overflow map — against the object's current committed version.
+// readsStillCommitted re-checks every recorded read against the
+// object's current committed version.
 // This is the plain (open-time and read-only-commit) scan; writer
 // commits use the lock-aware readsCommittedAndUnowned.
 func (tx *Tx) readsStillCommitted() bool {
@@ -373,14 +457,10 @@ func (tx *Tx) readsCommittedAndUnowned() bool {
 }
 
 func (tx *Tx) validateReads(lockAware bool) bool {
-	rs := tx.inline
-	for i := 0; i < rs.n; i++ {
-		if !tx.readStillValid(rs.objs[i], rs.vals[i], lockAware) {
-			return false
-		}
-	}
-	for obj, seen := range tx.reads {
-		if !tx.readStillValid(obj, seen, lockAware) {
+	rs := &tx.sess.reads
+	vals := rs.vals[:len(rs.objs)]
+	for i, obj := range rs.objs {
+		if !tx.readStillValid(obj, vals[i], lockAware) {
 			return false
 		}
 	}
